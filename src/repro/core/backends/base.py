@@ -54,9 +54,11 @@ __all__ = ["MatchingList", "SolverBackend"]
 class MatchingList(ABC):
     """One frame's matching list ``H`` in backend-native representation.
 
-    The engine drives instances through a fixed call sequence per frame:
-    ``pick_node`` → ``pick_candidate`` → ``settle`` → (``exhaust``?) →
-    ``trim`` → ``partition``.  Instances are mutable and single-frame:
+    The engine first asks ``is_empty`` and ``solve_trivial``; only a
+    list with no closed form becomes a frame, driven through a fixed call
+    sequence: ``pick_node`` → ``pick_candidate`` → ``settle`` →
+    (``exhaust``?) → ``trim`` → ``partition``.  Instances are mutable and
+    single-frame:
     once partitioned, a list is dead (the engine drops its reference).
     """
 
@@ -66,17 +68,19 @@ class MatchingList(ABC):
     def is_empty(self) -> bool:
         """True iff no pattern node has a remaining candidate."""
 
+    @abstractmethod
     def solve_trivial(self, by_similarity: bool):
         """Closed-form ``(sigma, iset)`` of this list's whole recursion
-        subtree when the list is degenerate, else ``None``.
+        subtree when the list is a single row, else ``None``.
 
-        Optional accelerator hook: a single-row list cannot trim or
-        exhaust anything (both only touch *other* rows), so its subtree
-        collapses to one pick sequence.  Backends that implement it must
-        reproduce the reference recursion's output exactly — including
-        the order of ``iset``.  The default opts out.
+        A single-row list cannot trim or exhaust anything (both only
+        touch *other* rows), so its subtree collapses to one pick
+        sequence and the engine pushes no frame for it.  Every backend
+        answers through the shared
+        :func:`~repro.core.backends.python_int.solve_trivial_entries`,
+        which reproduces the reference recursion's output exactly —
+        including the order of ``iset``.
         """
-        return None
 
     @abstractmethod
     def pick_node(self) -> int:

@@ -3,8 +3,9 @@
 Profiling the reference backend shows the greedy recursion's frames are
 bimodal: a short *spine* of wide matching lists (the ``H⁺`` chain of the
 top-level list — tens to hundreds of rows) and a long tail of tiny
-``H⁻`` lists, 80 %+ of them single-row chains that burn one full frame
-per candidate bit.  This backend attacks both ends, adaptively:
+``H⁻`` lists, 80 %+ of them single-row chains.  The engine closes those
+chains in one step on every backend (see **Trivial chains**); this
+backend makes the remaining frames cheap at both ends, adaptively:
 
 **Dense mode** (row count > ``SMALL_CUTOFF``) — the matching list is
 ``keys`` (present pattern indices, ascending) plus ``good`` / ``minus``
@@ -26,14 +27,9 @@ operations are *delegated to* :mod:`~repro.core.backends.python_int`'s
 ``*_entries`` functions, not re-implemented, so the two backends cannot
 drift apart in this regime.
 
-**Trivial chains** — a single-row list ``{v: mask}`` cannot trim or
-exhaust anything (both operations only touch *other* rows), so its
-entire recursion subtree has a closed form: ``σ = [(v, u₁)]`` and
-``I = [(v, u_c), …, (v, u₁)]`` where ``u₁ … u_c`` is the pick sequence
-(preference-ordered surviving candidates, then remaining bits
-ascending — exactly what re-running line 2 per frame yields).
-``solve_trivial`` returns that in O(c) instead of c frames; capacities
-are irrelevant on the way (nothing else is left to exhaust).
+**Trivial chains** — single-row lists are always small-mode, so
+``solve_trivial`` delegates to the shared closed form
+``solve_trivial_entries`` (see :mod:`~repro.core.backends.python_int`).
 
 Popcounts use ``numpy.bitwise_count`` (NumPy ≥ 2.0) with a SWAR
 (SIMD-within-a-register) fallback for older NumPy.  Results are
@@ -57,6 +53,7 @@ from repro.core.backends.python_int import (
     pick_candidate_entries,
     pick_node_entries,
     settle_entries,
+    solve_trivial_entries,
     trim_entries,
 )
 from repro.utils.errors import InputError
@@ -152,7 +149,6 @@ class _NumpyContext:
         "prev_idx",
         "post_idx",
         "pref_idx",
-        "_pref_rank",
     )
 
     def __init__(self, rows: _NumpyRows, num_pattern: int, prev, post, pref) -> None:
@@ -174,15 +170,6 @@ class _NumpyContext:
         ]
         #: Preference orders as uint64 index arrays (dense similarity pick).
         self.pref_idx = [np.array(row, dtype=np.uint64) for row in pref]
-        #: Lazy per-node candidate→preference-rank maps (trivial chains).
-        self._pref_rank: list[dict[int, int] | None] = [None] * len(pref)
-
-    def pref_rank(self, v: int) -> dict[int, int]:
-        rank = self._pref_rank[v]
-        if rank is None:
-            rank = {u: i for i, u in enumerate(self.pref[v])}
-            self._pref_rank[v] = rank
-        return rank
 
 
 def _masks_to_matrix(masks: Sequence[int], words: int):
@@ -196,16 +183,6 @@ def _masks_to_matrix(masks: Sequence[int], words: int):
 
 def _row_to_int(row) -> int:
     return int.from_bytes(row.tobytes(), "little")
-
-
-def _mask_bits(mask: int) -> list[int]:
-    """Set-bit indices of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
 
 
 class NumpyMatchingList(MatchingList):
@@ -243,21 +220,11 @@ class NumpyMatchingList(MatchingList):
         return self.keys.size == 0
 
     def solve_trivial(self, by_similarity: bool):
-        entries = self.entries
-        if entries is None or len(entries) != 1:
-            return None
-        ((v, masks),) = entries.items()
-        bits = _mask_bits(masks[0])
-        if by_similarity:
-            # Stepwise pick order: preferred candidates in preference
-            # order, then the un-ranked rest ascending — re-picking per
-            # frame never reorders survivors, so one sort reproduces it.
-            rank = self.ctx.pref_rank(v)
-            missing = len(rank)
-            bits.sort(key=lambda u: (rank.get(u, missing), u))
-        sigma = [(v, bits[0])]
-        iset = [(v, u) for u in reversed(bits)]
-        return sigma, iset
+        if self.entries is None:
+            return None  # dense lists hold more than SMALL_CUTOFF rows
+        return solve_trivial_entries(
+            self.entries, self.ctx.pref if by_similarity else None
+        )
 
     def pick_node(self) -> int:
         if self.entries is not None:

@@ -13,6 +13,17 @@ backend delegates to them for its small-list mode, so a future fix here
 fixes every backend's dict regime at once (bit-identity by construction,
 not by parallel maintenance).
 
+**Trivial chains** — a single-row list ``{v: mask}`` cannot trim or
+exhaust anything (both operations only touch *other* rows), so its
+entire recursion subtree has a closed form: ``σ = [(v, u₁)]`` and
+``I = [(v, u_c), …, (v, u₁)]`` where ``u₁ … u_c`` is the pick sequence
+(preferred candidates in preference order, then the remaining bits
+ascending — exactly what re-running line 2 per frame yields).
+``solve_trivial_entries`` returns that in one step instead of one frame
+per candidate bit; capacities are irrelevant on the way (nothing else
+is left to exhaust).  Every backend answers ``solve_trivial`` through
+it.
+
 Big ints are a surprisingly strong baseline — CPython's ``int.bit_count``
 and bitwise ops run in C over 30-bit limbs — but every engine loop over
 the matching list (the popcount scan of line 2, the capacity sweep, the
@@ -35,6 +46,7 @@ __all__ = [
     "exhaust_entries",
     "trim_entries",
     "partition_entries",
+    "solve_trivial_entries",
 ]
 
 Entries = dict[int, list[int]]
@@ -104,10 +116,37 @@ def partition_entries(entries: Entries) -> tuple[Entries, Entries]:
     return h_plus, h_minus
 
 
+def solve_trivial_entries(
+    entries: Entries, pref: Sequence[Sequence[int]] | None
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """Closed-form ``(sigma, iset)`` of a single-row list's recursion
+    subtree, else ``None``.  ``pref`` is the per-node preference table
+    (``None`` for the arbitrary pick rule)."""
+    if len(entries) != 1:
+        return None
+    ((v, masks),) = entries.items()
+    rest = masks[0]
+    picks = []
+    if pref is not None:
+        # Re-picking per frame never reorders survivors, so one walk of
+        # the preference row reproduces the stepwise pick order.
+        for u in pref[v]:
+            if rest >> u & 1:
+                picks.append(u)
+                rest ^= 1 << u
+                if not rest:
+                    break
+    while rest:  # un-ranked (or arbitrary-rule) bits: lowest first
+        low = rest & -rest
+        picks.append(low.bit_length() - 1)
+        rest ^= low
+    return [(v, picks[0])], [(v, u) for u in reversed(picks)]
+
+
 class _PythonContext:
     """Engine context: plain references into the workspace's tables."""
 
-    __slots__ = ("from_rows", "to_rows", "prev", "post")
+    __slots__ = ("from_rows", "to_rows", "prev", "post", "pref")
 
     def __init__(
         self,
@@ -115,11 +154,13 @@ class _PythonContext:
         to_rows: Sequence[int],
         prev: Sequence[Sequence[int]],
         post: Sequence[Sequence[int]],
+        pref: Sequence[Sequence[int]],
     ) -> None:
         self.from_rows = from_rows
         self.to_rows = to_rows
         self.prev = prev
         self.post = post
+        self.pref = pref
 
 
 class PythonMatchingList(MatchingList):
@@ -133,6 +174,11 @@ class PythonMatchingList(MatchingList):
 
     def is_empty(self) -> bool:
         return not self.entries
+
+    def solve_trivial(self, by_similarity: bool):
+        return solve_trivial_entries(
+            self.entries, self.ctx.pref if by_similarity else None
+        )
 
     def pick_node(self) -> int:
         return pick_node_entries(self.entries)
@@ -186,7 +232,11 @@ class PythonIntBackend(SolverBackend):
 
     def build_context(self, workspace) -> _PythonContext:
         return _PythonContext(
-            workspace.from_mask, workspace.to_mask, workspace.prev, workspace.post
+            workspace.from_mask,
+            workspace.to_mask,
+            workspace.prev,
+            workspace.post,
+            workspace.pref,
         )
 
     def matching_list(

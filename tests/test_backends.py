@@ -13,8 +13,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_random_instance
+import repro.core.engine as engine_module
+from helpers import make_random_instance, reference_greedy_match
 from repro.core.api import match, match_prepared, validate_match_options
 from repro.core.backends import (
     BACKEND_NAMES,
@@ -174,6 +176,112 @@ class TestEngineEquivalence:
             )
             results[name] = comp_max_card_engine(ws, ws.initial_good())[0]
         assert results["python"] == results["numpy"]
+
+
+# ----------------------------------------------------------------------
+# Closed-form frames against the shortcut-free Fig. 4 oracle
+# ----------------------------------------------------------------------
+@st.composite
+def greedy_calls(draw):
+    """A workspace plus one greedyMatch call: single- or multi-row lists,
+    masks seeded beyond (and short of) the preference rows, the 1-1
+    step, random capacities and both pick rules."""
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(1, 70))
+    graph1, graph2, mat = make_random_instance(
+        draw(st.integers(0, 10**6)),
+        n1=n1,
+        n2=n2,
+        density=draw(st.sampled_from((0.1, 0.25, 0.5))),
+        sim_density=draw(st.sampled_from((0.2, 0.5, 0.9))),
+    )
+    workspace = MatchingWorkspace(
+        graph1, graph2, mat, 0.4, prepared=prepare_data_graph(graph2)
+    )
+    mode = draw(st.sampled_from(("initial", "seeded", "single")))
+    if mode == "initial":
+        top_good = workspace.initial_good()
+    else:
+        rows = [draw(st.integers(0, n1 - 1))] if mode == "single" else range(n1)
+        top_good = {v: draw(st.integers(0, 2**n2 - 1)) for v in rows}
+    capacities = draw(
+        st.none() | st.dictionaries(st.integers(0, n2 - 1), st.integers(0, 3))
+    )
+    return (
+        workspace,
+        top_good,
+        draw(st.booleans()),
+        capacities,
+        draw(st.sampled_from(("similarity", "arbitrary"))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_calls())
+def test_greedy_match_equals_shortcut_free_reference(call):
+    workspace, top_good, injective, capacities, pick = call
+    expected = reference_greedy_match(
+        workspace, dict(top_good), injective, capacities, pick
+    )
+    for backend in (None, *available_backends()):
+        assert (
+            greedy_match(
+                workspace, dict(top_good), injective, capacities, pick, backend=backend
+            )
+            == expected
+        ), backend
+
+
+class TestClosedFormFrames:
+    """Empty lists and single-row chains never become engine frames."""
+
+    @staticmethod
+    def _instance():
+        rng = random.Random(5)
+        graph2 = random_digraph(240, 720, rng, name="frames")
+        graph1 = random_digraph(8, 20, rng, name="p")
+        mat = SimilarityMatrix()
+        for v in graph1.nodes():
+            for u in graph2.nodes():
+                if u % 6 == v % 6:
+                    mat.set(v, u, 1.0)
+        return graph1, graph2, mat
+
+    @staticmethod
+    def _record_frames(monkeypatch):
+        rows = []
+        new_frame = engine_module._new_frame
+
+        def counting(H, cap):
+            rows.append(len(H.to_masks()))
+            return new_frame(H, cap)
+
+        monkeypatch.setattr(engine_module, "_new_frame", counting)
+        return rows
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_pinned_frame_count(self, monkeypatch, backend):
+        graph1, graph2, mat = self._instance()
+        workspace = MatchingWorkspace(
+            graph1, graph2, mat, 0.5, prepared=prepare_data_graph(graph2), backend=backend
+        )
+        rows = self._record_frames(monkeypatch)
+        pairs, stats = comp_max_card_engine(workspace, workspace.initial_good())
+        assert (len(pairs), stats["rounds"]) == (6, 2)
+        assert min(rows) >= 2  # no frame for an empty or single-row list
+        # 1,178 frames on the python backend when every list got a frame.
+        assert len(rows) == 257
+
+    def test_empty_root_builds_no_frame(self, monkeypatch):
+        graph1, graph2, mat = self._instance()
+        workspace = MatchingWorkspace(graph1, graph2, mat, 0.5)
+        rows = self._record_frames(monkeypatch)
+        assert greedy_match(workspace, {}) == ([], [])
+        assert greedy_match(workspace, {0: 0b1011}) == (
+            [(0, 0)],
+            [(0, 3), (0, 1), (0, 0)],
+        )
+        assert rows == []
 
 
 # ----------------------------------------------------------------------
